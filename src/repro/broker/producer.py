@@ -15,14 +15,17 @@ Implements the Kafka producer behaviours the paper's experiments depend on:
 Records are tracked end to end: every send returns a future that fires with
 :class:`RecordMetadata` on acknowledgement or fails with
 :class:`DeliveryFailed`, and the producer keeps per-record accounting that the
-delivery-matrix experiment (Figure 6b) reads back.
+delivery-matrix experiment (Figure 6b) reads back.  Futures that nothing
+waits on settle in place, without a kernel event.  Like Kafka's
+``RecordAccumulator``, ``send`` appends each record straight into its
+partition's open wire :class:`RecordBatch`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.broker.batch import RecordBatch
 from repro.broker.broker import BROKER_PORT, find_coordinator_host
@@ -51,6 +54,10 @@ class ProducerConfig:
       and one broker CPU charge cover many records under heavy traffic.
     * ``linger`` — how long an under-filled batch may wait for more records
       before the sender flushes it anyway.
+
+    Every ``send`` returns a delivery future.  One that nothing waits on
+    settles in place when its batch is acknowledged or fails, so a reported
+    send spends no more kernel events than ``send_noreport``.
 
     ``idempotence`` turns on the exactly-once produce path: the producer
     initializes a coordinator-allocated ``(producer_id, epoch)`` pair before
@@ -104,11 +111,12 @@ class ProducerConfig:
 
 
 class PendingRecord:
-    """A record sitting in the accumulator awaiting acknowledgement.
+    """A record on the waiting line, outside the accumulator.
 
-    Fire-and-forget sends (:meth:`Producer.send_noreport`) carry no delivery
-    future and no report slot: ``future`` is ``None`` and ``sequence`` is
-    ``-1``, and the ack/fail paths skip their bookkeeping for them.
+    A record waits while ``buffer.memory`` is full or while its topic's
+    partition count is unknown.  Fire-and-forget sends
+    (:meth:`Producer.send_noreport`) carry no delivery future and no report
+    slot: ``future`` is ``None`` and ``sequence`` is ``-1``.
 
     ``partition`` is -1 while the record waits for topic metadata (keyed and
     round-robin placement need the real partition count — hashing against a
@@ -134,6 +142,19 @@ class PendingRecord:
         self.enqueued_at = enqueued_at
         self.sequence = sequence
         self.fallback = fallback
+
+
+class OpenBatch:
+    """One accumulator batch: the wire :class:`RecordBatch` built at send time
+    (reused verbatim across retries) plus per-record ``futures`` and report
+    ``sequences`` columns (``None`` / ``-1`` for fire-and-forget sends)."""
+
+    __slots__ = ("wire", "futures", "sequences")
+
+    def __init__(self, topic: str, partition: int) -> None:
+        self.wire = RecordBatch(topic, partition)
+        self.futures: List[Optional[Event]] = []
+        self.sequences: List[int] = []
 
 
 class DeliveryReport:
@@ -189,8 +210,9 @@ class Producer:
             host, default_timeout=self.config.request_timeout, max_retries=0
         )
         self.metadata: dict = {"version": -1, "partitions": {}, "brokers": {}}
-        self._accumulator: Dict[str, Deque[PendingRecord]] = {}
-        self._queued_bytes: Dict[str, int] = {}
+        #: Per partition key (``"<topic>-<partition>"``), the queue of open
+        #: batches, oldest first; only the last one still takes records.
+        self._accumulator: Dict[str, Deque[OpenBatch]] = {}
         self._in_flight: set = set()
         self._flush_scheduled: set = set()
         self._waiting_for_buffer: List[PendingRecord] = []
@@ -226,7 +248,8 @@ class Producer:
         #: One report per send, appended in sequence order — ``reports[seq]``
         #: is the report for sequence ``seq`` (no side dict needed).
         self.reports: List[DeliveryReport] = []
-        self._partition_count_cache: tuple = (None, None)
+        #: (metadata version, topic -> partition keys), see _topic_keys.
+        self._topic_keys_cache: tuple = (None, {})
         host.register_component(self)
 
     # -- lifecycle -------------------------------------------------------------------
@@ -250,102 +273,116 @@ class Producer:
 
     # -- public API ------------------------------------------------------------------
     def send(self, record: ProducerRecord) -> Event:
-        """Queue a record for delivery; returns a future firing with RecordMetadata."""
+        """Queue a record for delivery; returns a future firing with RecordMetadata.
+
+        A future that nothing waits on settles in place, without a kernel event.
+        """
         self._check_txn_send()
-        future = self.sim.event()
+        future = Event(self.sim)
         now = self.sim.now
-        pending = PendingRecord(
-            record, -1, future, now, self._sequence, fallback=self._partition_fallback
-        )
-        self._partition_fallback += 1
-        self.reports.append(
-            DeliveryReport(self._sequence, record.topic, record.key, now)
-        )
-        self._sequence += 1
-        self.records_sent += 1
-        self._place_or_wait(pending)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        self.reports.append(DeliveryReport(sequence, record.topic, record.key, now))
+        self._place(record, future, sequence, now)
         return future
 
     def send_noreport(self, record: ProducerRecord) -> None:
         """Fire-and-forget send (``acks=0``-style client bookkeeping).
 
         Skips the per-record future, :class:`DeliveryReport` and sequence
-        allocation of :meth:`send` — the dominant client-side cost for
-        throughput workloads that never inspect delivery outcomes.  Wire
-        behavior is identical to :meth:`send`: the record takes the same
-        accumulator/batch path, respects ``buffer.memory``, and still counts
-        in ``records_sent`` / ``records_acked`` / ``records_failed``.
+        allocation of :meth:`send`.  Wire behavior is identical to
+        :meth:`send`: the record takes the same placement and batch path,
+        respects ``buffer.memory``, and still counts in ``records_sent`` /
+        ``records_acked`` / ``records_failed``.
         """
         self._check_txn_send()
-        now = self.sim.now
-        pending = PendingRecord(
-            record, -1, None, now, -1, fallback=self._partition_fallback
-        )
-        self._partition_fallback += 1
-        self.records_sent += 1
-        self._place_or_wait(pending)
+        self._place(record, None, -1, self.sim.now)
 
-    def _place_or_wait(self, pending: PendingRecord) -> None:
-        """Route a fresh pending record: accumulator, or the waiting line.
+    def _place(self, record, future, sequence, enqueued_at, fallback=-1, partition=-1) -> None:
+        """Route a record into its partition's open batch, or onto the waiting line.
 
-        A record waits (outside ``buffer.memory`` accounting) when the buffer
-        is full *or* when the topic's partition count is still unknown —
-        keyed/round-robin placement against a guessed count would strand
-        records of one key on the wrong partition, so placement is deferred
-        to the first metadata refresh instead.  Explicit-partition records
-        never wait on metadata (the broker validates them on produce).
+        A fresh send (``fallback`` -1) takes the next shared round-robin
+        index; admission re-places a waiting record with the index and
+        partition it captured, so it places as a send-time decision would.
+        A record waits (outside ``buffer.memory`` accounting) while the
+        buffer is full or the topic's partition count is unknown: hashing
+        against a guessed count would split a key across partitions.
         """
-        record = pending.record
-        if not self._resolve_partition(pending):
-            self._waiting_for_buffer.append(pending)
+        if fallback < 0:
+            fallback = self._partition_fallback
+            self._partition_fallback = fallback + 1
+            self.records_sent += 1
+        keys = self._topic_keys(record.topic)
+        if partition < 0:
+            n_partitions = len(keys)
+            if record.partition is None and n_partitions <= 1:
+                # One partition needs no hashing; an unknown count gives -1.
+                partition = n_partitions - 1
+            else:
+                partition = record.partition_for(n_partitions, fallback=fallback)
+        size = record.size
+        if partition < 0 or self._buffer_used + size > self.config.buffer_memory:
+            self._waiting_for_buffer.append(
+                PendingRecord(record, partition, future, enqueued_at, sequence, fallback)
+            )
             return
-        if self._buffer_used + record.size <= self.config.buffer_memory:
-            self._buffer_used += record.size
-            self._enqueue(pending)
-        else:
-            # Buffer full: the record waits outside the accumulator until
-            # acknowledgements free space (blocking-producer semantics).
-            self._waiting_for_buffer.append(pending)
+        self._buffer_used += size
+        key = keys[partition] if keys else f"{record.topic}-{partition}"
+        self._append(key, partition, record, future, sequence, enqueued_at)
 
-    def _resolve_partition(self, pending: PendingRecord) -> bool:
-        """Assign the pending record's partition if the metadata allows.
+    def _append(self, key, partition, record, future, sequence, enqueued_at) -> None:
+        """Append one record to the partition's last open batch, or open a new one.
 
-        Returns False while the topic's partition count is unknown and the
-        record has no explicit partition — the single placement rule shared
-        by send-time and admit-time paths, so a record places identically
-        whenever the decision happens.
+        Greedy batching as Kafka's accumulator does it at send time: a record
+        joins the open batch while the batch stays within ``batch_size``
+        bytes and ``max_batch_records`` records; a record larger than
+        ``batch_size`` gets a batch of its own.
         """
-        if pending.partition >= 0:
-            return True
-        record = pending.record
-        n_partitions = self._partition_count(record.topic)
-        if record.partition is None and n_partitions == 0:
-            return False
-        pending.partition = record.partition_for(n_partitions, fallback=pending.fallback)
-        return True
-
-    def flush_pending(self) -> int:
-        """Number of records not yet acknowledged or failed."""
-        queued = sum(len(batch) for batch in self._accumulator.values())
-        return queued + len(self._waiting_for_buffer)
-
-    def _enqueue(self, pending: PendingRecord) -> None:
-        key = f"{pending.record.topic}-{pending.partition}"
         queue = self._accumulator.get(key)
         if queue is None:
             queue = self._accumulator[key] = deque()
-        queue.append(pending)
-        queued = self._queued_bytes.get(key, 0) + pending.record.size
-        self._queued_bytes[key] = queued
-        # Size-triggered eager flush: a full batch goes out now instead of
-        # waiting (up to ``linger``) for the sender loop's next tick.  The
-        # threshold check lives here (before the call) so under-filled
-        # enqueues — the common case — pay no extra function call.
+        size = record.size
+        config = self.config
+        batch = queue[-1] if queue else None
         if (
-            queued >= self.config.batch_size
-            or len(queue) >= self.config.max_batch_records
+            batch is None
+            or batch.wire.total_size + size > config.batch_size
+            or len(batch.sequences) >= config.max_batch_records
+        ):
+            batch = OpenBatch(record.topic, partition)
+            queue.append(batch)
+        wire = batch.wire
+        wire.append(record.key, record.value, size, enqueued_at, record.headers)
+        batch.futures.append(future)
+        batch.sequences.append(sequence)
+        # The _ready rule, inlined because it runs once per record (the open
+        # batch is the head whenever only one batch is queued).
+        if (
+            len(queue) > 1
+            or wire.total_size >= config.batch_size
+            or len(batch.sequences) >= config.max_batch_records
         ):
             self._maybe_schedule_flush(key)
+
+    def _ready(self, queue: Deque[OpenBatch]) -> bool:
+        """True when a full batch waits: more than one batch is queued, or the
+        only one reached ``batch_size`` bytes or ``max_batch_records`` records."""
+        if len(queue) != 1:
+            return len(queue) > 1
+        wire, config = queue[0].wire, self.config
+        return wire.total_size >= config.batch_size or len(wire) >= config.max_batch_records
+
+    def flush_pending(self) -> int:
+        """Number of records not yet handed to a produce request.
+
+        Counts the accumulator's open batches and the waiting line.  Batches
+        in flight are not counted, which is why the transaction flush barrier
+        in :meth:`_end_transaction` also checks ``_in_flight``.
+        """
+        queued = sum(
+            len(batch.sequences) for queue in self._accumulator.values() for batch in queue
+        )
+        return queued + len(self._waiting_for_buffer)
 
     def _maybe_schedule_flush(self, key: str) -> None:
         """Schedule an immediate flush if a full batch is waiting.
@@ -362,12 +399,7 @@ class Producer:
         ):
             return
         queue = self._accumulator.get(key)
-        if not queue:
-            return
-        if (
-            self._queued_bytes.get(key, 0) >= self.config.batch_size
-            or len(queue) >= self.config.max_batch_records
-        ):
+        if queue and self._ready(queue):
             self._flush_scheduled.add(key)
             self.sim.call_later(0.0, self._eager_flush, key)
 
@@ -383,34 +415,31 @@ class Producer:
             # Sequences are only meaningful under an allocated identity; the
             # sender loop flushes everything once the init handshake lands.
             return
-        batch, wire_batch = self._drain_batch(key)
-        if not batch:
+        batch = self._drain_batch(key)
+        if batch is None:
             return
         self._in_flight.add(key)
         self.sim.process(
-            self._send_batch_guarded(key, batch, wire_batch),
+            self._send_batch_guarded(key, batch),
             name=f"{self.name}:send:{key}",
         )
 
-    def _partition_count(self, topic: str) -> int:
-        """Partition count per topic, cached per metadata version.
+    def _topic_keys(self, topic: str) -> Sequence[str]:
+        """Partition keys (``"<topic>-<partition>"``) of a topic, by partition.
 
-        ``send`` calls this once per record; rescanning the whole partition
-        map each time dominated the client-side cost at high record rates.
-        Returns 0 while the topic is absent from the metadata (placement then
-        trusts an explicit partition and routes everything else to 0).
+        Cached per metadata version, so placement builds no string and scans
+        no partition map per record.  Empty while the topic is unknown.
         """
         version = self.metadata.get("version", -1)
-        cached_version, counts = self._partition_count_cache
+        cached_version, keys = self._topic_keys_cache
         if cached_version != version:
-            counts = {}
+            counts: Dict[str, int] = {}
             for info in self.metadata.get("partitions", {}).values():
-                topic_name = info["topic"]
-                counts[topic_name] = max(
-                    counts.get(topic_name, 0), info["partition"] + 1
-                )
-            self._partition_count_cache = (version, counts)
-        return counts.get(topic, 0)
+                name = info["topic"]
+                counts[name] = max(counts.get(name, 0), info["partition"] + 1)
+            keys = {name: [f"{name}-{p}" for p in range(n)] for name, n in counts.items()}
+            self._topic_keys_cache = (version, keys)
+        return keys.get(topic, ())
 
     # -- sender machinery -----------------------------------------------------------------
     def _sender_loop(self):
@@ -432,14 +461,19 @@ class Producer:
                 # retrying the remote one).
                 self._flush_key(key)
 
-    def _send_batch_guarded(self, key: str, batch: List[PendingRecord], wire_batch: RecordBatch):
+    def _send_batch_guarded(self, key: str, batch: OpenBatch):
         try:
-            yield from self._send_batch(key, batch, wire_batch)
+            yield from self._send_batch(key, batch)
         finally:
             self._in_flight.discard(key)
             # The freed in-flight slot immediately serves the next full
             # batch; under-filled remainders wait for the linger tick.
             self._maybe_schedule_flush(key)
+
+    def _overdue(self, enqueued_at: float) -> bool:
+        """The single ``delivery_timeout`` deadline rule, shared by every
+        expiry site (accumulator queues and the waiting line)."""
+        return self.sim.now >= enqueued_at + self.config.delivery_timeout
 
     def _expire_accumulated_records(self) -> None:
         """Fail accumulator records whose ``delivery_timeout`` passed.
@@ -447,27 +481,33 @@ class Producer:
         The sender loop normally enforces the deadline inside ``_send_batch``
         after a drain; while flushing is gated (idempotence init still
         pending) nothing drains, so the deadline is enforced directly on the
-        queued records instead of letting their futures hang forever.
+        queued records instead of letting their futures hang forever.  The
+        survivors are re-packed with the same greedy rule.
         """
-        now = self.sim.now
         for key, queue in self._accumulator.items():
-            expired = self._overdue(queue, now)
-            if not expired:
+            batches = list(queue)
+            if not any(self._overdue(min(batch.wire.produced_ats)) for batch in batches):
                 continue
-            for pending in expired:
-                queue.remove(pending)
-            freed = sum(pending.record.size for pending in expired)
-            self._queued_bytes[key] = self._queued_bytes.get(key, 0) - freed
-            self._fail_batch(expired, reason="delivery timeout")
-
-    def _overdue(self, records, now: float) -> List[PendingRecord]:
-        """The single ``delivery_timeout`` deadline rule, shared by every
-        expiry site (accumulator queues and the waiting line)."""
-        deadline_margin = self.config.delivery_timeout
-        return [
-            pending for pending in records
-            if now >= pending.enqueued_at + deadline_margin
-        ]
+            queue.clear()
+            expired = []
+            for batch in batches:
+                wire = batch.wire
+                for index, enqueued_at in enumerate(wire.produced_ats):
+                    future, sequence = batch.futures[index], batch.sequences[index]
+                    size = wire.sizes[index]
+                    if self._overdue(enqueued_at):
+                        self._buffer_used -= size
+                        expired.append((future, sequence))
+                        continue
+                    record = ProducerRecord(
+                        wire.topic,
+                        wire.values[index],
+                        key=wire.keys[index],
+                        headers=wire.headers_at(index),
+                        size=size,
+                    )
+                    self._append(key, wire.partition, record, future, sequence, enqueued_at)
+            self._fail_records(expired, reason="delivery timeout")
 
     def _admit_waiting_records(self) -> None:
         """Move waiting records into the accumulator as space/metadata allow.
@@ -479,77 +519,54 @@ class Producer:
         """
         if not self._waiting_for_buffer:
             return
-        now = self.sim.now
-        expired = self._overdue(self._waiting_for_buffer, now)
+        waiting, self._waiting_for_buffer = self._waiting_for_buffer, []
+        expired = [pending for pending in waiting if self._overdue(pending.enqueued_at)]
         if expired:
-            for pending in expired:
-                self._waiting_for_buffer.remove(pending)
             # Waiting records never entered buffer accounting.
-            self._fail_batch(expired, reason="delivery timeout", free_buffer=False)
-        admitted = []
-        for pending in self._waiting_for_buffer:
-            record = pending.record
-            if not self._resolve_partition(pending):
-                continue  # still no metadata for this topic
-            if self._buffer_used + record.size <= self.config.buffer_memory:
-                self._buffer_used += record.size
-                self._enqueue(pending)
-                admitted.append(pending)
-        for pending in admitted:
-            self._waiting_for_buffer.remove(pending)
+            self._fail_records(
+                ((pending.future, pending.sequence) for pending in expired),
+                reason="delivery timeout",
+            )
+        for pending in waiting:
+            if not self._overdue(pending.enqueued_at):
+                self._place(
+                    pending.record,
+                    pending.future,
+                    pending.sequence,
+                    pending.enqueued_at,
+                    pending.fallback,
+                    pending.partition,
+                )
 
-    def _drain_batch(self, key: str):
-        """Pop one ready batch off the accumulator.
+    def _drain_batch(self, key: str) -> Optional[OpenBatch]:
+        """Pop the partition's oldest batch off the accumulator.
 
-        Returns ``(pending_records, wire_batch)`` built in a single pass: the
-        wire :class:`RecordBatch` is the one object per flush that travels to
-        the broker (and is reused verbatim across retries — the broker never
-        mutates it); the pending list keeps the futures/report bookkeeping.
+        Its wire batch was built at send time; under idempotence the drain
+        stamps the producer identity and base sequence on it once.
         """
         queue = self._accumulator.get(key)
         if not queue:
-            return [], None
-        first = queue[0]
-        wire_batch = RecordBatch(first.record.topic, first.partition)
-        batch: List[PendingRecord] = []
-        size = 0
-        max_records = self.config.max_batch_records
-        batch_size = self.config.batch_size
-        while queue and len(batch) < max_records:
-            candidate = queue[0]
-            record = candidate.record
-            if batch and size + record.size > batch_size:
-                break
-            queue.popleft()
-            batch.append(candidate)
-            size += record.size
-            wire_batch.append(
-                record.key,
-                record.value,
-                record.size,
-                produced_at=candidate.enqueued_at,
-                headers=record.headers,
-            )
-        if size:
-            self._queued_bytes[key] = self._queued_bytes.get(key, 0) - size
-        if batch and self.config.idempotence:
-            # Stamp the producer identity once per drained batch.  The wire
-            # batch is reused verbatim across retries, so its base_sequence
-            # never moves — which is exactly what lets the leader recognize
-            # a retry as a duplicate.
-            wire_batch.producer_id = self.producer_id
-            wire_batch.producer_epoch = self.producer_epoch
+            return None
+        batch = queue.popleft()
+        if self.config.idempotence:
+            # The wire batch is reused verbatim across retries, so its
+            # base_sequence never moves — which is exactly what lets the
+            # leader recognize a retry as a duplicate.
+            wire = batch.wire
+            wire.producer_id = self.producer_id
+            wire.producer_epoch = self.producer_epoch
             base_sequence = self._next_sequences.get(key, 0)
-            wire_batch.base_sequence = base_sequence
-            self._next_sequences[key] = base_sequence + len(batch)
+            wire.base_sequence = base_sequence
+            self._next_sequences[key] = base_sequence + len(wire)
             if self._txn_active:
-                wire_batch.transactional = True
-        return batch, wire_batch
+                wire.transactional = True
+        return batch
 
-    def _send_batch(self, key: str, batch: List[PendingRecord], wire_batch: RecordBatch):
+    def _send_batch(self, key: str, batch: OpenBatch):
+        wire_batch = batch.wire
         topic = wire_batch.topic
         partition = wire_batch.partition
-        deadline = min(p.enqueued_at for p in batch) + self.config.delivery_timeout
+        deadline = min(wire_batch.produced_ats) + self.config.delivery_timeout
         attempts = 0
         request_size = wire_batch.wire_size + 35
         if wire_batch.transactional and key not in self._txn_registered:
@@ -596,13 +613,7 @@ class Producer:
                 duplicate = bool(reply.get("duplicate"))
                 if duplicate:
                     self.duplicate_acks += 1
-                self._ack_batch(
-                    batch,
-                    reply.get("base_offset", 0),
-                    topic,
-                    partition,
-                    duplicate=duplicate,
-                )
+                self._ack_batch(batch, reply.get("base_offset", 0), duplicate=duplicate)
                 return
             if error == "producer_fenced":
                 # A newer instance re-initialized our producer id: fatal for
@@ -622,40 +633,40 @@ class Producer:
             self._fail_batch(batch, reason=error)
             return
 
-    def _ack_batch(
-        self,
-        batch: List[PendingRecord],
-        base_offset: int,
-        topic: str,
-        partition: int,
-        duplicate: bool = False,
-    ) -> None:
+    def _ack_batch(self, batch: OpenBatch, base_offset: int, duplicate: bool = False) -> None:
         now = self.sim.now
         reports = self.reports
-        freed = 0
-        for index, pending in enumerate(batch):
-            # A duplicate ack for a stale retry may not know the original
-            # offsets (base_offset -1): the records are durable, their
-            # positions just aren't echoed back — report and metadata both
-            # carry None then, never a fake position.
-            offset = base_offset + index if base_offset >= 0 else None
-            freed += pending.record.size
-            if pending.sequence < 0:  # fire-and-forget: no report, no future
-                continue
-            report = reports[pending.sequence]
-            report.acknowledged_at = now
-            report.offset = offset
-            report.duplicate = duplicate
-            if not pending.future.triggered:
-                pending.future.succeed(
-                    RecordMetadata(topic, partition, offset, now, pending.enqueued_at)
-                )
-        self._buffer_used -= freed
-        self.records_acked += len(batch)
+        wire = batch.wire
+        topic, partition = wire.topic, wire.partition
+        # A duplicate ack for a stale retry may not know the original offsets
+        # (base_offset -1): the records are durable, their positions just
+        # aren't echoed back — report and metadata both carry None then,
+        # never a fake position.
+        offset = base_offset if base_offset >= 0 else None
+        for sequence, future, enqueued_at in zip(
+            batch.sequences, batch.futures, wire.produced_ats
+        ):
+            if sequence >= 0:  # fire-and-forget records have no report, no future
+                report = reports[sequence]
+                report.acknowledged_at = now
+                report.offset = offset
+                report.duplicate = duplicate
+                if not future.triggered:
+                    future.settle(RecordMetadata(topic, partition, offset, now, enqueued_at))
+            if offset is not None:
+                offset += 1
+        self._buffer_used -= wire.total_size
+        self.records_acked += len(wire)
 
-    def _fail_batch(
-        self, batch: List[PendingRecord], reason: str, free_buffer: bool = True
+    def _fail_batch(self, batch: OpenBatch, reason: str) -> None:
+        """Fail every record of a drained or stranded batch, freeing its buffer."""
+        self._buffer_used -= batch.wire.total_size
+        self._fail_records(zip(batch.futures, batch.sequences), reason)
+
+    def _fail_records(
+        self, records: Iterable[Tuple[Optional[Event], int]], reason: str
     ) -> None:
+        """Fail ``(future, sequence)`` pairs (buffer accounting is the caller's)."""
         now = self.sim.now
         if self.config.transactional_id:
             # A lost record poisons the transaction: commit_transaction will
@@ -663,17 +674,14 @@ class Producer:
             self._txn_had_failure = True
             if reason == "producer_fenced":
                 self._txn_fatal = True
-        for pending in batch:
-            if free_buffer:
-                self._buffer_used -= pending.record.size
+        for future, sequence in records:
             self.records_failed += 1
-            if pending.sequence < 0:  # fire-and-forget: no report, no future
+            if sequence < 0:  # fire-and-forget: no report, no future
                 continue
-            self.reports[pending.sequence].failed_at = now
-            if not pending.future.triggered:
-                failure = pending.future
-                failure._defused = True  # experiment code may ignore the future
-                failure.fail(DeliveryFailed(reason))
+            self.reports[sequence].failed_at = now
+            if not future.triggered:
+                future.defuse()  # experiment code may ignore the future
+                future.settle(DeliveryFailed(reason), ok=False)
 
     # -- idempotence handshake --------------------------------------------------------------
     def _init_producer_id(self):
@@ -832,16 +840,19 @@ class Producer:
         grace = self.sim.now + self.config.request_timeout + self.config.retry_backoff
         while self._in_flight and self.sim.now < grace:
             yield self.sim.timeout(0.01)
-        for key, queue in list(self._accumulator.items()):
+        for queue in self._accumulator.values():
             stranded = list(queue)
             queue.clear()
-            self._queued_bytes[key] = 0
-            if stranded:
-                self._fail_batch(stranded, reason="transaction_aborted")
+            for batch in stranded:
+                self._fail_batch(batch, reason="transaction_aborted")
         waiting = self._waiting_for_buffer
         self._waiting_for_buffer = []
         if waiting:
-            self._fail_batch(waiting, reason="transaction_aborted", free_buffer=False)
+            # Waiting records never entered buffer accounting.
+            self._fail_records(
+                ((pending.future, pending.sequence) for pending in waiting),
+                reason="transaction_aborted",
+            )
         if self._txn_registered:
             yield from self._send_end_txn("abort", self.sim.now + 10.0)
         self._txn_active = False

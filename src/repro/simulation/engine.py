@@ -53,6 +53,10 @@ class _Callback:
         return f"<_Callback {getattr(self.fn, '__qualname__', self.fn)!r}>"
 
 
+def _wait(event: Event) -> None:
+    """No-op callback that marks an event as waited on by :meth:`Simulator.run`."""
+
+
 class Simulator:
     """Discrete-event simulator.
 
@@ -194,6 +198,9 @@ class Simulator:
                     if until_event._ok:
                         return until_event._value
                     raise until_event._value
+                # run() counts as a waiter, so an event settled in place
+                # (Event.settle) still goes through the heap and stops it.
+                until_event.callbacks.append(_wait)
             else:
                 deadline = float(until)
                 if deadline < self._now:

@@ -84,11 +84,22 @@ class Event:
         self.sim._schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (used by conditions)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.sim._schedule(self)
+    def settle(self, value: Any = None, ok: bool = True) -> "Event":
+        """Trigger like :meth:`succeed` (:meth:`fail` with ``ok=False``), but
+        mark the event processed in place when it has no callbacks.
+
+        Later waiters still see it (processes and conditions handle processed
+        events).  An undefused failure always schedules, so it still crashes.
+        """
+        if self._value is not PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = ok
+        self._value = value
+        if self.callbacks or not (ok or self._defused):
+            self.sim._schedule(self)
+        else:
+            self.callbacks = None
+        return self
 
     def __repr__(self) -> str:
         state = "pending" if self._value is PENDING else ("ok" if self._ok else "failed")

@@ -148,7 +148,9 @@ class TestProduceConsume:
 
     def test_noreport_delivery_matches_reported_send(self):
         """The wire behavior of the two send paths is identical: same keys,
-        same bytes, same consumed order for the same seeded run."""
+        same bytes, same consumed order for the same seeded run — and the
+        same kernel work, since an unwaited delivery future settles without
+        a kernel event."""
 
         def run_once(noreport: bool):
             sim, network, sites, cluster = build_cluster()
@@ -171,6 +173,7 @@ class TestProduceConsume:
                 [r.key for r in consumer.received],
                 consumer.bytes_consumed,
                 producer.records_acked,
+                sim.processed_events,
             )
 
         assert run_once(noreport=False) == run_once(noreport=True)
@@ -192,8 +195,11 @@ class TestProduceConsume:
             producer.send(ProducerRecord(topic="t", value=f"r{i}", size=10))
             producer.send_noreport(ProducerRecord(topic="t", value=f"n{i}", size=10))
         # Fallback sequence 0,1,2,3 -> partitions 0,1,0,1 across both paths.
-        assert [p.record.value for p in producer._accumulator["t-0"]] == ["r0", "r1"]
-        assert [p.record.value for p in producer._accumulator["t-1"]] == ["n0", "n1"]
+        def placed(key):
+            return [value for batch in producer._accumulator[key] for value in batch.wire.values]
+
+        assert placed("t-0") == ["r0", "r1"]
+        assert placed("t-1") == ["n0", "n1"]
 
     def test_consumer_latency_accounting(self):
         sim, network, sites, cluster = build_cluster()
